@@ -24,9 +24,10 @@ type (
 func Table1() ExpTable { return exp.Table1() }
 
 // AutoShards is the automatic intra-run shard-width policy used when
-// ExpOptions.Shards is 0: the CPUs left over after a pool of jobs workers,
-// capped at the widest useful partition and narrowed for scaled-down runs.
-// Exported so CLIs can log what "-shards auto" resolved to.
+// ExpOptions.Shards is 0: 1 unless each of a pool of jobs workers gets at
+// least 4 CPUs, otherwise the CPUs per worker, capped at the widest useful
+// partition and narrowed for scaled-down runs. Exported so CLIs can log
+// what "-shards auto" resolved to.
 var AutoShards = exp.AutoShards
 
 // PlotFigure renders an ASCII chart of a figure's table in the style of the

@@ -56,7 +56,7 @@ import (
 func main() {
 	scale := flag.Int("scale", 1, "divide dataset sizes by N (1 = full paper scale)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations (1 = sequential)")
-	shards := flag.String("shards", "auto", "worker shards inside each simulation (N >= 1, or \"auto\" = CPUs left over after -jobs; 1 with the default -jobs)")
+	shards := flag.String("shards", "auto", "worker shards inside each simulation (N >= 1, or \"auto\" = 1 unless every -jobs worker gets >= 4 CPUs, then the CPUs per worker; 1 with the default -jobs)")
 	seed := flag.Uint64("seed", 0, "perturb workload seeds (0 = the paper's fixed seeds)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	doPlot := flag.Bool("plot", false, "also render ASCII charts of the figures")

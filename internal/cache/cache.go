@@ -439,6 +439,10 @@ func (b *Bank) PopResponse(now uint64) (mem.Response, bool) {
 // PopEvict returns one evicted partial-sum line (CombineLocal mode).
 func (b *Bank) PopEvict() (EvictedLine, bool) { return b.evictQ.Pop() }
 
+// HasEvict reports whether evicted partial-sum lines wait for PopEvict. They
+// are work for the bank's owner, not for the bank (see NextEvent).
+func (b *Bank) HasEvict() bool { return !b.evictQ.Empty() }
+
 // mshrFor returns the MSHR tracking the line, or nil.
 func (b *Bank) mshrFor(a mem.Addr) *mshr {
 	for i := range b.mshrs {
@@ -600,16 +604,20 @@ func (b *Bank) Tick(now uint64) {
 }
 
 // NextEvent reports the earliest cycle at which the bank can do work (see
-// sim.FastForwarder). Queued input, pending write-backs or evictions, an
-// active flush walk, and any MSHR that still has local work (unissued fetch,
-// staged fill, or a filled line draining) are work in the current cycle.
-// MSHRs waiting on DRAM are woken by the DRAM model's own NextEvent; the
-// only self-timed state is the hit-latency response pipe, whose head-ready
-// cycle is reported so the engine never jumps past a deliverable response.
-// Write-combining entries hold no timer: they drain only in reaction to new
-// requests or spills.
+// sim.FastForwarder). Queued input, pending write-backs, an active flush
+// walk, and any MSHR that still has local work (unissued fetch, staged fill,
+// or a filled line draining) are work in the current cycle. MSHRs waiting on
+// DRAM are woken by the DRAM model's own NextEvent; the only self-timed
+// state is the hit-latency response pipe (and, under fault injection, the
+// scrub re-check pipe), whose head-ready cycle is reported so the engine
+// never jumps past a deliverable item. Write-combining entries hold no
+// timer: they drain only in reaction to new requests or spills.
+//
+// Evicted partial lines waiting in the eviction queue are not the bank's own
+// work: only the owner's PopEvict drains them, and a Tick with nothing else
+// pending leaves them untouched. The owner reports them through HasEvict.
 func (b *Bank) NextEvent(now uint64) uint64 {
-	if !b.inQ.Empty() || !b.wbQ.Empty() || !b.evictQ.Empty() || b.flushing {
+	if !b.inQ.Empty() || !b.wbQ.Empty() || b.flushing {
 		return now
 	}
 	for i := range b.mshrs {

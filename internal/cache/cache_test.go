@@ -1,12 +1,14 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"scatteradd/internal/dram"
 	"scatteradd/internal/mem"
 	"scatteradd/internal/port"
+	"scatteradd/internal/stats"
 )
 
 var _ port.Word = (*Bank)(nil)
@@ -406,5 +408,64 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestEvictOnlyBankIsQuiescent: a CombineLocal bank whose only pending state
+// is evicted partial lines has no work of its own — only the owner's
+// PopEvict drains them — so NextEvent lies in the future, HasEvict reports
+// the lines, and a Tick in that state changes exactly what Skip(now, 1)
+// charges.
+func TestEvictOnlyBankIsQuiescent(t *testing.T) {
+	build := func() *Bank {
+		cfg := testConfig()
+		b := NewBank(cfg, 0, nil, CombineLocal)
+		b.SetZeroKind(mem.AddI64)
+		var now uint64
+		for i := 0; i < 3; i++ {
+			r := mem.Request{ID: uint64(i), Kind: mem.AddI64, Addr: mem.Addr(i * cfg.Banks * mem.LineWords), Val: mem.I64(7)}
+			if !b.Accept(now, r) {
+				t.Fatal("accept refused on an empty bank")
+			}
+		}
+		b.StartFlush()
+		for ; b.NextEvent(now) <= now; now++ {
+			b.Tick(now)
+			if now > 1000 {
+				t.Fatal("bank never went quiescent")
+			}
+		}
+		return b
+	}
+	const now = 1000
+	ticked, skipped := build(), build()
+	if !ticked.HasEvict() {
+		t.Fatal("flushed lines did not reach the eviction queue")
+	}
+	if ev := ticked.NextEvent(now); ev <= now {
+		t.Fatalf("NextEvent = %d with only evictions pending, want > %d", ev, now)
+	}
+	ticked.Tick(now)
+	skipped.Skip(now, 1)
+	reg := func(b *Bank) stats.Snapshot {
+		r := stats.NewRegistry()
+		r.Adopt("cache", b.StatsGroup())
+		return r.Snapshot()
+	}
+	if got, want := reg(ticked), reg(skipped); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Tick counters %v != Skip(now, 1) counters %v", got, want)
+	}
+	if !ticked.HasEvict() {
+		t.Fatal("Tick drained the eviction queue; only PopEvict may")
+	}
+	n := 0
+	for {
+		if _, ok := ticked.PopEvict(); !ok {
+			break
+		}
+		n++
+	}
+	if n != 3 || ticked.HasEvict() {
+		t.Fatalf("popped %d evicted lines (HasEvict after drain = %v), want 3 and false", n, ticked.HasEvict())
 	}
 }

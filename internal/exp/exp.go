@@ -124,9 +124,9 @@ type Options struct {
 	// bank clusters (scatter-add units, cache banks, and the DRAM channels
 	// they own). Per-cycle component compute fans out between deterministic
 	// exchange points, so output is byte-identical for every value (enforced
-	// by internal/differ). 0 picks an automatic width from the CPUs left
-	// over after the Jobs pool claims its workers (see AutoShards) — with
-	// the default one-worker-per-CPU Jobs that resolves to 1; 1 keeps every
+	// by internal/differ). 0 picks an automatic width from the CPUs each
+	// Jobs worker gets (see AutoShards): 1 unless every run has at least 4 —
+	// so the default one-worker-per-CPU Jobs resolves to 1; 1 keeps every
 	// run sequential; larger values pass through (component counts clamp
 	// inside the engines).
 	Shards int
@@ -135,8 +135,11 @@ type Options struct {
 	Seed uint64
 	// CollectStats attaches the merged hardware performance counters of a
 	// figure's simulations to its Table (rendered as a counter appendix).
-	// Counting itself is always on; this only controls snapshot collection,
-	// so leaving it off costs nothing on the simulation hot path.
+	// Counting itself is always on, whatever this is set to: it only
+	// controls snapshot collection. Counting is not free — per-cycle
+	// occupancy sampling in the component Ticks was 21% of the Fig 14 CPU
+	// profile before idle multi-node nodes stopped ticking — but leaving
+	// this off saves only the snapshot copies.
 	CollectStats bool
 	// CollectSpans samples per-request lifecycle spans on every simulation
 	// behind a figure and attaches the per-run latency-attribution reports

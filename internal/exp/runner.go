@@ -35,24 +35,28 @@ func (o Options) jobs() int {
 }
 
 // AutoShards picks an intra-run shard width for a pool of jobs concurrent
-// runs: the CPUs left over once every worker has one, bounded by the widest
-// useful partition (8 bank clusters / typical node counts), and reined in
-// for heavily scaled-down runs whose short cycles amortize the per-cycle
-// barrier less. Sharding never changes output (internal/differ enforces
-// byte-identity), so the policy is purely a throughput heuristic. Exposed so
-// CLIs can log the width "-shards auto" resolved to.
+// runs. Sharding pays only when each run gets several cores: below 4 CPUs
+// per job the per-cycle barrier costs more than the parallel compute saves
+// (measured on 2 CPUs, 2 shards ran figs 6 and 10 2.6x slower), so the
+// policy returns 1 — the width the >=2x speedup gates require is 4. With 4
+// or more CPUs per job it takes them all, bounded by the widest useful
+// partition (8 bank clusters / typical node counts), and reined in to 2 for
+// heavily scaled-down runs whose short cycles amortize the barrier less.
+// Sharding never changes output (internal/differ enforces byte-identity),
+// so the policy is purely a throughput heuristic. Exposed so CLIs can log
+// the width "-shards auto" resolved to.
 func AutoShards(jobs, scale int) int {
 	if jobs < 1 {
 		jobs = 1
 	}
 	per := runtime.NumCPU() / jobs
-	if per < 1 {
-		per = 1
+	if per < 4 {
+		return 1
 	}
 	if per > 8 {
 		per = 8
 	}
-	if scale > 4 && per > 2 {
+	if scale > 4 {
 		per = 2
 	}
 	return per

@@ -44,9 +44,10 @@ func TestReportDeterministicAcrossShards(t *testing.T) {
 	}
 }
 
-// TestAutoShardsPolicy pins the automatic width rules: never below 1, never
-// past the widest useful partition, narrowed for scaled-down runs, and the
-// default one-worker-per-CPU pool leaves nothing over.
+// TestAutoShardsPolicy pins the automatic width rules: never below 1, 1
+// whenever a job would get fewer than 4 CPUs, never past the widest useful
+// partition, narrowed for scaled-down runs, and the default
+// one-worker-per-CPU pool leaves nothing over.
 func TestAutoShardsPolicy(t *testing.T) {
 	cpus := runtime.NumCPU()
 	if got := AutoShards(cpus, 1); got != 1 {
@@ -57,6 +58,16 @@ func TestAutoShardsPolicy(t *testing.T) {
 	}
 	if got := AutoShards(0, 1); got != AutoShards(1, 1) {
 		t.Errorf("AutoShards(0, 1) = %d, want the jobs<1 clamp to match jobs=1", got)
+	}
+	// Fewer than 4 CPUs per job: sharding is a measured slowdown there.
+	for jobs := 1; jobs <= cpus; jobs++ {
+		if cpus/jobs < 4 {
+			if got := AutoShards(jobs, 1); got != 1 {
+				t.Errorf("AutoShards(%d, 1) = %d on %d CPUs, want 1 below 4 CPUs per job", jobs, got, cpus)
+			}
+		} else if got := AutoShards(jobs, 1); got < 4 {
+			t.Errorf("AutoShards(%d, 1) = %d on %d CPUs, want >= 4 with %d CPUs per job", jobs, got, cpus, cpus/jobs)
+		}
 	}
 	if cpus >= 4 {
 		if got := AutoShards(1, 8); got > 2 {

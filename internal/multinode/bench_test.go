@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scatteradd/internal/mem"
+	"scatteradd/internal/workload"
 )
 
 // fig13Bench replays one large Figure 13 style run — 8 nodes, high network
@@ -94,6 +95,42 @@ func BenchmarkEngineSharded8Nodes(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := New(cfg, mem.AddI64)
 				s.RunTrace(refs)
+			}
+		})
+	}
+}
+
+// BenchmarkFabricHotOwner replays Fig 14's hot histogram — 8K references,
+// 64 to each of 128 bins, owned by the first 16 of 256 trimmed nodes — on
+// the cache-combining crossbar and the combining fat-tree. Most nodes idle
+// behind the owners for most of the run, so the cost per cycle tracks how
+// cheaply the step loop passes over idle nodes.
+func BenchmarkFabricHotOwner(b *testing.B) {
+	const (
+		nodes = 256
+		bins  = 128
+		refs  = 8192
+	)
+	span := (mem.Addr(bins)/nodes + mem.LineWords) &^ (mem.LineWords - 1)
+	trace := make([]Ref, refs)
+	for i := range trace {
+		trace[i] = Ref{Addr: mem.Addr(i % bins), Val: mem.I64(1)}
+	}
+	rng := workload.NewRNG(14)
+	for i := len(trace) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		trace[i], trace[j] = trace[j], trace[i]
+	}
+	for _, topology := range []string{"flat+comb", "tree+comb"} {
+		b.Run(topology, func(b *testing.B) {
+			cfg := hotOwnerConfig(b, topology, nodes, span)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := New(cfg, mem.AddI64)
+				if res := s.RunTrace(trace); res.Adds != refs {
+					b.Fatalf("short replay: %+v", res)
+				}
 			}
 		})
 	}

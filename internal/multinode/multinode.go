@@ -189,6 +189,16 @@ type node struct {
 	// compute phase stays race free (ops migrate between node tracers at the
 	// sequential inbox-injection point and all are absorbed at end of run).
 	str *span.Tracer
+
+	// Activity-driven stepping (fast-forward only). A node whose components
+	// all report their next event in the future falls asleep: the compute
+	// phase passes over it in O(1) until wakeAt, the cached minimum of those
+	// events. Its idle cycles from idleFrom on are charged in one batch Skip
+	// per component when it settles — before any input lands in one of its
+	// components, and at the end of a run.
+	asleep   bool
+	idleFrom uint64 // first cycle not yet charged to the components
+	wakeAt   uint64 // earliest component event when it fell asleep
 }
 
 // Result reports a trace replay.
@@ -481,6 +491,7 @@ func (s *System) RunTrace(refs []Ref) Result {
 		}
 		for r := 0; r < rounds; r++ {
 			for _, n := range s.nodes {
+				s.settle(n)
 				for _, cb := range n.comb {
 					cb.StartFlush()
 				}
@@ -496,6 +507,11 @@ func (s *System) RunTrace(refs []Ref) Result {
 				}
 			}
 		}
+	}
+	// Charge every sleeping node's idle tail before anything reads the
+	// counters.
+	for _, n := range s.nodes {
+		s.settle(n)
 	}
 	// Fold the node-private shard tracers back into the system tracer (a
 	// no-op when they alias it) so callers see one coherent trace.
@@ -580,10 +596,18 @@ func (s *System) nextEvent() uint64 {
 	return ev
 }
 
-// nodeNextEvent returns the earliest cycle at which one node can do work.
+// nodeNextEvent returns the earliest cycle at which one node can do work:
+// its exchange work (trace issue, staged traffic, evicted partial lines,
+// link maintenance) or its components' next event, which a sleeping node
+// has cached.
 func (s *System) nodeNextEvent(n *node) uint64 {
 	if n.issued < len(n.trace) || !n.inbox.Empty() || !n.outbox.Empty() {
 		return s.now
+	}
+	for _, cb := range n.comb {
+		if cb.HasEvict() {
+			return s.now
+		}
 	}
 	ev := sim.Never
 	if s.reliable {
@@ -597,6 +621,21 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 			}
 		}
 	}
+	t := n.wakeAt
+	if !n.asleep || t <= s.now {
+		t = s.componentNextEvent(n)
+	}
+	if t < ev {
+		return t
+	}
+	return ev
+}
+
+// componentNextEvent returns the earliest cycle at which any of a node's
+// components — scatter-add units, cache and combining banks, DRAM — can do
+// work.
+func (s *System) componentNextEvent(n *node) uint64 {
+	ev := sim.Never
 	for _, u := range n.sas {
 		if t := u.NextEvent(s.now); t < ev {
 			ev = t
@@ -618,29 +657,67 @@ func (s *System) nodeNextEvent(n *node) uint64 {
 	return ev
 }
 
-// skipTo jumps the clock to cycle h, applying every component's batch
-// skipped-cycle effects (per-cycle occupancy samples). The per-node Skip
-// fan-out shards: Skip touches only node-local occupancy counters.
+// skipTo jumps the clock to cycle h. Every node is quiescent, so the jump
+// leaves them all asleep: a node awake until now starts its idle stretch
+// here and re-evaluates its components at h, and each node's skipped cycles
+// are charged when it settles.
 func (s *System) skipTo(h uint64) {
-	cycles := h - s.now
-	s.xbar.Skip(s.now, cycles)
-	s.runShards(func(sh int) {
-		r := s.ranges[sh]
-		for i := r[0]; i < r[1]; i++ {
-			n := s.nodes[i]
-			for _, u := range n.sas {
-				u.Skip(s.now, cycles)
-			}
-			for _, b := range n.banks {
-				b.Skip(s.now, cycles)
-			}
-			for _, cb := range n.comb {
-				cb.Skip(s.now, cycles)
-			}
-			n.dram.Skip(s.now, cycles)
+	s.xbar.Skip(s.now, h-s.now)
+	for _, n := range s.nodes {
+		if !n.asleep {
+			n.asleep, n.idleFrom, n.wakeAt = true, s.now, s.now
 		}
-	})
+	}
 	s.now = h
+}
+
+// settle wakes a sleeping node, charging its components the idle cycles
+// from idleFrom to now with one Skip each — the batch arithmetic of a
+// system-wide jump. A component's Skip depends only on its own state, which
+// no input has touched since the node fell asleep, so charging late is
+// exact. The caller must settle before any input lands in the node's
+// components; the compute phase then re-evaluates the node this cycle.
+func (s *System) settle(n *node) {
+	if !n.asleep {
+		return
+	}
+	n.asleep = false
+	cycles := s.now - n.idleFrom
+	if cycles == 0 {
+		return
+	}
+	for _, u := range n.sas {
+		u.Skip(n.idleFrom, cycles)
+	}
+	for _, b := range n.banks {
+		b.Skip(n.idleFrom, cycles)
+	}
+	for _, cb := range n.comb {
+		cb.Skip(n.idleFrom, cycles)
+	}
+	n.dram.Skip(n.idleFrom, cycles)
+}
+
+// computeNode runs one node's compute phase. With fast-forward on, a node
+// whose components all have their next event in the future sleeps instead
+// of ticking (an idle Tick only takes the occupancy samples that Skip
+// charges later); a sleeping node is passed over in O(1) until its cached
+// wake cycle, or until settle wakes it for an input.
+func (s *System) computeNode(n *node) {
+	if s.ff {
+		if n.asleep && n.wakeAt > s.now {
+			return
+		}
+		if t := s.componentNextEvent(n); t > s.now {
+			if !n.asleep {
+				n.asleep, n.idleFrom = true, s.now
+			}
+			n.wakeAt = t
+			return
+		}
+		s.settle(n)
+	}
+	s.stepNodeCompute(n)
 }
 
 // step advances the whole system one cycle with a two-phase schedule:
@@ -652,7 +729,8 @@ func (s *System) skipTo(h uint64) {
 //  2. Compute (parallel over shard node ranges): the node-local hardware —
 //     scatter-add units, cache and combining banks, DRAM — which within a
 //     cycle interacts only through the per-port crossbar queues exchanged
-//     in phase 1 and ticked in phase 3.
+//     in phase 1 and ticked in phase 3. With fast-forward on, idle nodes
+//     sleep through this phase (see computeNode).
 //  3. Commit (sequential, node order): staged combining-to-direct
 //     degradations, then the crossbar tick that moves frames between ports.
 //
@@ -667,7 +745,7 @@ func (s *System) step() {
 	s.runShards(func(sh int) {
 		r := s.ranges[sh]
 		for i := r[0]; i < r[1]; i++ {
-			s.stepNodeCompute(s.nodes[i])
+			s.computeNode(s.nodes[i])
 		}
 	})
 	for _, n := range s.nodes {
@@ -720,6 +798,9 @@ func (s *System) stepNodeExchange(n *node) {
 	// Inject staged arrivals: owned addresses go to the local scatter-add
 	// path; in hierarchical combining, in-transit partials for other owners
 	// merge into this hop's combining cache.
+	if !n.inbox.Empty() {
+		s.settle(n)
+	}
 	for {
 		r, ok := n.inbox.Peek()
 		if !ok {
@@ -816,6 +897,7 @@ func (s *System) stepNodeExchange(n *node) {
 		}
 		dst := s.sumBackDst(n.id, r.Addr)
 		if dst == n.id {
+			s.settle(n)
 			u := n.localUnit(r.Addr)
 			if !u.CanAccept(s.now) || !u.Accept(s.now, r) {
 				break
@@ -873,11 +955,13 @@ func (s *System) stepNodeCompute(n *node) {
 func (s *System) routeRequest(n *node, req mem.Request) bool {
 	dst := s.owner(req.Addr)
 	if dst == n.id {
+		s.settle(n)
 		u := n.localUnit(req.Addr)
 		return u.CanAccept(s.now) && u.Accept(s.now, req)
 	}
 	if s.cfg.Combining && !n.degraded {
 		// Local phase: combine into the node's own cache.
+		s.settle(n)
 		cb := n.combBank(req.Addr)
 		return cb.CanAccept(s.now) && cb.Accept(s.now, req)
 	}
@@ -1020,6 +1104,7 @@ func (s *System) applyDegrade(n *node) {
 	n.wantDegrade = false
 	n.degraded = true
 	s.lmet.degraded.Inc()
+	s.settle(n)
 	for _, cb := range n.comb {
 		cb.StartFlush()
 	}

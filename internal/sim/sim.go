@@ -37,14 +37,19 @@ const Never = ^uint64(0)
 //     returns Never. The answer must be conservative: returning a cycle
 //     earlier than the true next event is always safe, later is not.
 //   - Skip(now, cycles) informs the component that cycles consecutive Ticks
-//     starting at now were skipped because every component in the engine was
-//     quiescent. The component must apply the batch effect of those idle
-//     Ticks (typically per-cycle occupancy histogram observations) so that
-//     counters match per-cycle stepping exactly.
+//     starting at now were skipped while it was quiescent: its NextEvent lay
+//     beyond them and it received no input during them. The component must
+//     apply the batch effect of those idle Ticks (typically per-cycle
+//     occupancy histogram observations) so that counters match per-cycle
+//     stepping exactly.
 //
-// The engine only jumps when every registered Ticker implements
-// FastForwarder and none reports an event at the current cycle, so a
-// component may rely on the rest of the machine being frozen during Skip.
+// Skip's precondition is about this component only, so its effect must
+// depend on nothing but the component's own state: a caller may charge
+// skipped cycles late, after other components have moved on. The Engine
+// only jumps when every registered Ticker implements FastForwarder and
+// none reports an event at the current cycle; multinode.System also puts
+// idle nodes to sleep one by one and charges each node's Skip when it next
+// receives input or the run ends.
 type FastForwarder interface {
 	NextEvent(now uint64) uint64
 	Skip(now, cycles uint64)
