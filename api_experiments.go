@@ -23,8 +23,8 @@ type (
 // Table1 renders the machine parameters as in the paper's Table 1.
 func Table1() ExpTable { return exp.Table1() }
 
-// AutoShards is the automatic intra-run shard-width policy used when
-// ExpOptions.Shards is 0: 1 unless each of a pool of jobs workers gets at
+// AutoShards is the automatic intra-run shard-width policy for multi-node
+// figures, used when ExpOptions.Shards is 0: 1 unless each of a pool of jobs workers gets at
 // least 4 CPUs, otherwise the CPUs per worker, capped at the widest useful
 // partition and narrowed for scaled-down runs. Exported so CLIs can log
 // what "-shards auto" resolved to.

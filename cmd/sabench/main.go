@@ -12,16 +12,15 @@
 //	sabench -app spmv      -variant csr|ebehw|ebesw
 //	sabench -app moldyn    -variant nosa|hw|sw -mol 903 -cutoff 8
 //
-// Common flags: -trace FILE (dump the reference trace as CSV), -seed N,
-// -shards N (tick the machine's bank clusters on N parallel workers;
-// output is byte-identical for every N).
+// Common flags: -trace FILE (dump the reference trace as CSV), -seed N.
 //
 // Multi-node replay: -nodes N (N > 1) replays the histogram's scatter-add
 // reference stream on the N-node system instead of one machine, with
 // -topology selecting the interconnect (flat, flat+comb, hypercube, tree,
-// tree+comb, mesh, mesh+comb) and -fanin the tree switch fan-in; -shards
-// then partitions the nodes across workers. The bins are verified against
-// the sequential reference either way.
+// tree+comb, mesh, mesh+comb) and -fanin the tree switch fan-in; -shards N
+// partitions the nodes across N parallel workers (output is byte-identical
+// for every N; it requires -nodes > 1). The bins are verified against the
+// sequential reference either way.
 //
 // Request-lifecycle spans: -span-out FILE samples 1 in -span-rate memory
 // operations and writes either a Perfetto/Chrome trace-event JSON
@@ -61,7 +60,7 @@ func main() {
 	mol := flag.Int("mol", 903, "moldyn molecule count")
 	cutoff := flag.Float64("cutoff", 8.0, "moldyn neighbor cutoff")
 	seed := flag.Uint64("seed", 1, "workload seed")
-	shards := flag.Int("shards", 1, "bank-cluster shards ticking the machine in parallel (1 = sequential; output is byte-identical for every value)")
+	shards := flag.Int("shards", 1, "node shards stepping a -nodes replay in parallel (1 = sequential; needs -nodes > 1; output is byte-identical for every value)")
 	nodes := flag.Int("nodes", 1, "replay the histogram on an N-node system instead of one machine (N > 1)")
 	topology := flag.String("topology", "flat", "interconnect for -nodes: flat, flat+comb, hypercube, tree, tree+comb, mesh, mesh+comb")
 	fanin := flag.Int("fanin", 0, "tree switch fan-in for -nodes -topology tree* (0 = default 4)")
@@ -84,6 +83,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sabench: -shards %d invalid (want >= 1)\n", *shards)
 		os.Exit(2)
 	}
+	if *shards > 1 && *nodes <= 1 {
+		fmt.Fprintf(os.Stderr, "sabench: -shards %d needs -nodes > 1 (a single machine runs sequentially)\n", *shards)
+		os.Exit(2)
+	}
 	sp := spanOpts{out: *spanOut, format: *spanFormat, rate: *spanRate}
 	if *nodes > 1 {
 		if err := runMultiNode(*app, *nodes, *topology, *fanin, *n, *rangeSize, *seed, *shards); err != nil {
@@ -97,7 +100,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*app, *variant, *n, *rangeSize, *batch, *mol, *cutoff, *seed, *shards, *traceOut, sp); err != nil {
+	if err := run(*app, *variant, *n, *rangeSize, *batch, *mol, *cutoff, *seed, *traceOut, sp); err != nil {
 		sess.Stop()
 		fmt.Fprintf(os.Stderr, "sabench: %v\n", err)
 		os.Exit(1)
@@ -108,11 +111,8 @@ func main() {
 	}
 }
 
-func run(app, variant string, n, rangeSize, batch, mol int, cutoff float64, seed uint64, shards int, traceOut string, sp spanOpts) error {
-	cfg := machine.DefaultConfig()
-	cfg.Shards = shards
-	m := machine.New(cfg)
-	defer m.Close()
+func run(app, variant string, n, rangeSize, batch, mol int, cutoff float64, seed uint64, traceOut string, sp spanOpts) error {
+	m := machine.New(machine.DefaultConfig())
 	rec := trace.NewRecorder(0)
 	if traceOut != "" {
 		m.SetTracer(rec.Observe)

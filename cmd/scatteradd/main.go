@@ -13,10 +13,10 @@
 //	-scale N      divide dataset sizes by N for a quick run (default 1 = paper scale)
 //	-jobs N       run up to N independent simulations concurrently (default NumCPU;
 //	              1 = sequential; output is byte-identical for every N)
-//	-shards N     split each simulation's compute across N worker shards
-//	              advancing in lockstep: multi-node figures shard per-node
-//	              engines, single-machine figures shard the machine's bank
-//	              clusters (output is byte-identical for every N; 1 =
+//	-shards N     split each multi-node simulation (fig13, fig14, the
+//	              hierarchical ablation) across N worker shards of nodes
+//	              advancing in lockstep; single-machine figures always run
+//	              sequentially (output is byte-identical for every N; 1 =
 //	              sequential). The default "auto" picks a width from the
 //	              CPUs left over after the -jobs pool and logs the choice —
 //	              with the default one-worker-per-CPU -jobs it resolves to 1.
@@ -56,7 +56,7 @@ import (
 func main() {
 	scale := flag.Int("scale", 1, "divide dataset sizes by N (1 = full paper scale)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations (1 = sequential)")
-	shards := flag.String("shards", "auto", "worker shards inside each simulation (N >= 1, or \"auto\" = 1 unless every -jobs worker gets >= 4 CPUs, then the CPUs per worker; 1 with the default -jobs)")
+	shards := flag.String("shards", "auto", "worker shards inside each multi-node simulation (N >= 1, or \"auto\" = 1 unless every -jobs worker gets >= 4 CPUs, then the CPUs per worker; 1 with the default -jobs)")
 	seed := flag.Uint64("seed", 0, "perturb workload seeds (0 = the paper's fixed seeds)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	doPlot := flag.Bool("plot", false, "also render ASCII charts of the figures")

@@ -130,19 +130,24 @@ func TestFastForwardEquivalenceWithFaults(t *testing.T) {
 	}
 }
 
-// shardedFigsUnderTest returns the figure set for the sharded gates.
-// Under the race detector (with no explicit FFDIFF_FIGS) it narrows to
-// Fig. 6 and Fig. 13 — one single-machine figure exercising the bank-cluster
-// spin pool and the multi-node figure exercising the per-node worker pool:
-// race instrumentation makes the full-figure sweeps ~10x slower, and the
-// remaining single-machine figures run the same sharded machine code path
-// Fig. 6 does. The full matrix runs un-instrumented in the regular test job
-// and the sharded-equivalence CI job.
+// shardedFigsUnderTest returns the figure set for the sharded gates: the
+// multi-node figures (13 and 14) of figsUnderTest, since intra-run sharding
+// partitions multi-node systems only. Under the race detector (with no
+// explicit FFDIFF_FIGS) it narrows to Fig. 13: race instrumentation makes
+// the sweeps ~10x slower, and Fig. 14 runs the same per-node worker pool.
+// Fig. 14 runs un-instrumented in the regular test job and the
+// topology-equivalence CI job.
 func shardedFigsUnderTest(t *testing.T) []int {
 	if raceEnabled && os.Getenv("FFDIFF_FIGS") == "" {
-		return []int{6, 13}
+		return []int{13}
 	}
-	return figsUnderTest(t)
+	var figs []int
+	for _, fig := range figsUnderTest(t) {
+		if fig == 13 || fig == 14 {
+			figs = append(figs, fig)
+		}
+	}
+	return figs
 }
 
 // shardedScaleUnderTest shrinks the sharded gates' dataset under the race
@@ -158,12 +163,10 @@ func shardedScaleUnderTest(t *testing.T) int {
 }
 
 // TestShardedEquivalence is the shard scheduler's differential gate: every
-// figure must produce byte-identical output — rendered table, raw counter
-// snapshot, span reports — whether each simulation runs sequentially or
-// fanned across 2 or 4 worker shards. Multi-node figures shard their
-// per-node engines; single-machine figures (6-12) shard the machine's bank
-// clusters, so the whole evaluation now exercises a parallel tick path that
-// this gate pins against its sequential twin.
+// multi-node figure must produce byte-identical output — rendered table,
+// raw counter snapshot, span reports — whether each simulation runs
+// sequentially or with its per-node engines fanned across 2 or 4 worker
+// shards.
 func TestShardedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential gate runs full figure suites")
@@ -184,8 +187,7 @@ func TestShardedEquivalence(t *testing.T) {
 
 // TestShardedEquivalenceLegacyStepping covers the other stepping mode: the
 // sharded step wrapped in per-cycle stepping (no fast-forward) must also
-// match its sequential twin on every figure. Fig. 13 is the only
-// multi-node figure, so it is the one that can actually diverge.
+// match its sequential twin on every multi-node figure.
 func TestShardedEquivalenceLegacyStepping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential gate runs full figure suites")
@@ -209,19 +211,14 @@ func TestShardedEquivalenceLegacyStepping(t *testing.T) {
 // 4-shard run must not move a byte relative to sequential. Fault draws key
 // on (seed, component, event index), and the exchange/commit phases execute
 // in canonical order in both modes, so any divergence means compute-phase
-// state leaked across a shard boundary. Fig. 6 covers the sharded
-// single-machine memory system, Fig. 10 its async-overlap workload shape,
-// Fig. 13 the multi-node link layer, Fig. 14 the multi-hop switch fabrics.
+// state leaked across a shard boundary. Fig. 13 covers the multi-node link
+// layer, Fig. 14 the multi-hop switch fabrics.
 func TestShardedEquivalenceWithFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential gate runs full figure suites")
 	}
 	scale := shardedScaleUnderTest(t) * 2 // chaos runs are slower; shrink the data
-	figs := []int{6, 10, 13, 14}
-	if raceEnabled && os.Getenv("FFDIFF_FIGS") == "" {
-		figs = []int{6, 13} // see shardedFigsUnderTest
-	}
-	for _, fig := range figs {
+	for _, fig := range shardedFigsUnderTest(t) {
 		fig := fig
 		t.Run(fmt.Sprintf("fig%d", fig), func(t *testing.T) {
 			t.Parallel()

@@ -123,9 +123,8 @@ type bank struct {
 }
 
 // chanStats are one channel's cumulative activity counters. All transaction
-// accounting is confined to the owning channel so that parallel shard
-// workers ticking disjoint channel sets never share a counter; DRAM-wide
-// totals are folded from these at sequential points (Stats, FoldMetrics).
+// accounting is confined to the owning channel; DRAM-wide totals are folded
+// from these (Stats, FoldMetrics).
 type chanStats struct {
 	reads, writes       uint64
 	rowHits, rowMisses  uint64
@@ -225,10 +224,10 @@ type DRAM struct {
 	tr       *span.Tracer
 	track    string
 
-	// partitioned marks the DRAM as channel-partitioned across parallel
-	// shard workers (SetPartitioned): global accounting (the queue-depth
-	// gauge, the met counters) moves off the per-transaction path onto
-	// sequential fold points so shard ticks never share a counter.
+	// partitioned marks the DRAM as driven channel by channel by its owner
+	// (SetPartitioned): global accounting (the queue-depth gauge, the met
+	// counters) moves off the per-transaction path onto the owner's fold
+	// points.
 	partitioned bool
 
 	// Fault injection (zero when disabled).
@@ -294,8 +293,8 @@ func (d *DRAM) SetSpanTracer(tr *span.Tracer, track string) {
 //     transaction times out and retries internally, charging DRAMStallCycles
 //     of extra latency. Each channel owns its own Bernoulli stream, drawn
 //     once per issued transaction, so the draw order is a pure function of
-//     the channel's issue sequence — identical under legacy stepping,
-//     fast-forward, and any shard partition of the channels.
+//     the channel's issue sequence — identical under legacy stepping and
+//     fast-forward.
 //
 //   - Channel outage windows: each channel owns a stateless fault.Windows
 //     schedule during which it issues nothing. The schedule is a pure
@@ -406,17 +405,15 @@ func (d *DRAM) Tick(now uint64) {
 	d.FoldMetrics()
 }
 
-// SetPartitioned marks the DRAM as channel-partitioned across parallel shard
-// workers. The owner then drives channels with TickChannels/DrainResponses/
-// NextEventChannels and is responsible for calling FoldMetrics and
-// SyncQueueDepth at sequential points; the per-transaction global accounting
-// (queue-depth gauge updates in Accept) is suppressed so shard ticks never
-// write shared state.
+// SetPartitioned marks the DRAM as driven channel by channel by its owner.
+// The owner then drives channels with TickChannels/DrainResponses and is
+// responsible for calling FoldMetrics and SyncQueueDepth; the
+// per-transaction global accounting (queue-depth gauge updates in Accept) is
+// suppressed, so the gauge tracks end-of-cycle totals.
 func (d *DRAM) SetPartitioned() { d.partitioned = true }
 
-// TickChannels advances exactly the given channels by one cycle, recording
-// any spans on tr. Writes are confined to those channels (plus the
-// synchronized store), so disjoint channel sets may tick concurrently.
+// TickChannels advances exactly the given channels by one cycle, in list
+// order, recording any spans on tr.
 func (d *DRAM) TickChannels(now uint64, chans []int, tr *span.Tracer) {
 	for _, ci := range chans {
 		d.tickChannel(now, ci, tr)
@@ -425,7 +422,7 @@ func (d *DRAM) TickChannels(now uint64, chans []int, tr *span.Tracer) {
 
 // DrainResponses pops every completed read on the given channels, in channel
 // list order, into fn. Unlike the round-robin PopResponse it never consults
-// other channels, so disjoint channel sets may drain concurrently.
+// other channels.
 func (d *DRAM) DrainResponses(chans []int, fn func(LineResp)) {
 	for _, ci := range chans {
 		ch := &d.channels[ci]
@@ -437,34 +434,10 @@ func (d *DRAM) DrainResponses(chans []int, fn func(LineResp)) {
 	}
 }
 
-// NextEventChannels is NextEvent restricted to the given channels.
-func (d *DRAM) NextEventChannels(now uint64, chans []int) uint64 {
-	ev := sim.Never
-	for _, ci := range chans {
-		ch := &d.channels[ci]
-		if ch.respHead < len(ch.resps) {
-			return now
-		}
-		if ch.pendHead < len(ch.pending) && ch.pending[ch.pendHead].ready < ev {
-			ev = ch.pending[ch.pendHead].ready
-		}
-		if len(ch.queue) > 0 {
-			if t := d.nextIssue(now, ch); t < ev {
-				ev = t
-			}
-		}
-	}
-	if ev < now {
-		return now
-	}
-	return ev
-}
-
 // FoldMetrics folds the per-channel accumulators into the performance-
 // counter group, adding only the delta since the previous fold. The whole-
-// DRAM Tick folds every cycle; a partitioned owner folds at sequential
-// points (the fold order is fixed, and counters are order-insensitive sums,
-// so the folded values are identical for any shard count).
+// DRAM Tick folds every cycle; a partitioned owner folds when it reads the
+// counters (they are sums, so the folded values do not depend on when).
 func (d *DRAM) FoldMetrics() {
 	var cur chanStats
 	for i := range d.channels {
@@ -483,9 +456,8 @@ func (d *DRAM) FoldMetrics() {
 }
 
 // SyncQueueDepth samples the total queued requests across all channels into
-// the queue-depth gauge. A partitioned owner calls it once per cycle at a
-// sequential point (the gauge's high-water mark then tracks end-of-cycle
-// totals, which are scheduling-independent).
+// the queue-depth gauge. A partitioned owner calls it once per cycle (the
+// gauge's high-water mark then tracks end-of-cycle totals).
 func (d *DRAM) SyncQueueDepth() {
 	total := 0
 	for i := range d.channels {
@@ -495,9 +467,7 @@ func (d *DRAM) SyncQueueDepth() {
 }
 
 // tickChannel advances one channel by one cycle. All writes are confined to
-// the channel itself (plus the synchronized store), so parallel shard
-// workers may tick disjoint channel sets concurrently. Spans are recorded on
-// tr — the caller's tracer for the shard that owns this channel.
+// the channel itself and the store. Spans are recorded on tr.
 func (d *DRAM) tickChannel(now uint64, ci int, tr *span.Tracer) {
 	ch := &d.channels[ci]
 	// Retire pending reads whose data has arrived.

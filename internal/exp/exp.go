@@ -117,18 +117,17 @@ type Options struct {
 	// CPU (GOMAXPROCS); 1 runs everything sequentially on the caller's
 	// goroutine. Output is byte-identical for every value.
 	Jobs int
-	// Shards partitions each simulation's component groups across a worker
+	// Shards partitions each multi-node simulation's nodes across a worker
 	// pool, parallelizing *within* one run the way Jobs parallelizes across
-	// runs: multi-node figures (Fig 13, hierarchical ablation) shard their
-	// per-node engines; single-machine figures (6-12) shard the machine's
-	// bank clusters (scatter-add units, cache banks, and the DRAM channels
-	// they own). Per-cycle component compute fans out between deterministic
-	// exchange points, so output is byte-identical for every value (enforced
-	// by internal/differ). 0 picks an automatic width from the CPUs each
-	// Jobs worker gets (see AutoShards): 1 unless every run has at least 4 —
-	// so the default one-worker-per-CPU Jobs resolves to 1; 1 keeps every
-	// run sequential; larger values pass through (component counts clamp
-	// inside the engines).
+	// runs. It applies to the multi-node figures only (Fig 13, Fig 14, the
+	// hierarchical ablation); single-machine figures always step one node
+	// sequentially. Per-cycle node compute fans out between deterministic
+	// exchange points, so output is byte-identical for every value
+	// (enforced by internal/differ). 0 picks an automatic width from the
+	// CPUs each Jobs worker gets (see AutoShards): 1 unless every run has at
+	// least 4 — so the default one-worker-per-CPU Jobs resolves to 1; 1
+	// keeps every run sequential; larger values pass through (node counts
+	// clamp inside the engine).
 	Shards int
 	// Seed perturbs every workload seed (0 = the paper's fixed seeds),
 	// regenerating all figures on statistically fresh datasets.

@@ -34,17 +34,16 @@ func (o Options) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// AutoShards picks an intra-run shard width for a pool of jobs concurrent
-// runs. Sharding pays only when each run gets several cores: below 4 CPUs
-// per job the per-cycle barrier costs more than the parallel compute saves
-// (measured on 2 CPUs, 2 shards ran figs 6 and 10 2.6x slower), so the
-// policy returns 1 — the width the >=2x speedup gates require is 4. With 4
-// or more CPUs per job it takes them all, bounded by the widest useful
-// partition (8 bank clusters / typical node counts), and reined in to 2 for
-// heavily scaled-down runs whose short cycles amortize the barrier less.
-// Sharding never changes output (internal/differ enforces byte-identity),
-// so the policy is purely a throughput heuristic. Exposed so CLIs can log
-// the width "-shards auto" resolved to.
+// AutoShards picks an intra-run shard width for the multi-node runs of a
+// pool of jobs concurrent runs. Sharding pays only when each run gets
+// several cores: below 4 CPUs per job the per-cycle barrier costs more than
+// the parallel compute saves (measured on 2 CPUs, 4 shards ran Fig 13
+// 1.0-1.3x slower), so the policy returns 1 — the width the >=2x speedup
+// gates require is 4. With 4 or more CPUs per job it takes them all, bounded
+// at 8, and reined in to 2 for heavily scaled-down runs whose short cycles
+// amortize the barrier less. Sharding never changes output (internal/differ
+// enforces byte-identity), so the policy is purely a throughput heuristic.
+// Exposed so CLIs can log the width "-shards auto" resolved to.
 func AutoShards(jobs, scale int) int {
 	if jobs < 1 {
 		jobs = 1
@@ -62,8 +61,8 @@ func AutoShards(jobs, scale int) int {
 	return per
 }
 
-// shards resolves Options.Shards to the width handed to machine and
-// multinode configs: 0 picks automatically, anything else passes through.
+// shards resolves Options.Shards to the width handed to multinode configs:
+// 0 picks automatically, anything else passes through.
 func (o Options) shards() int {
 	if o.Shards != 0 {
 		return o.Shards

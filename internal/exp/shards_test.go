@@ -8,18 +8,16 @@ import (
 )
 
 // TestReportDeterministicAcrossShards mirrors TestReportDeterministicAcrossJobs
-// for intra-run sharding: figures must render byte-identically whether each
-// simulation runs sequentially or fanned across 2 or 4 shards — multi-node
-// figures shard per-node engines, single-machine figures shard the machine's
-// bank clusters — with the counter and span appendices attached so the whole
-// observable surface is compared. Small scales keep this affordable under
-// -race; the multinode and machine packages pin byte-identity exhaustively at
-// the system level, so this test only needs enough data to prove the
-// exp-layer plumbing (options, appendices, checkpointing) is shard-clean.
-// Fig13 runs the full {1,2,4} matrix; Fig6 and Fig10 cover the two
-// single-machine workload shapes (histogram, gather/compute/async-scatter);
-// the hierarchical ablation — whose only shard-relevant surface is its
-// cfg.Shards wiring — is checked at 4 shards alone.
+// for intra-run sharding: multi-node figures must render byte-identically
+// whether each simulation runs sequentially or with its per-node engines
+// fanned across 2 or 4 shards, with the counter and span appendices attached
+// so the whole observable surface is compared. Small scales keep this
+// affordable under -race; the multinode package pins byte-identity
+// exhaustively at the system level, so this test only needs enough data to
+// prove the exp-layer plumbing (options, appendices, checkpointing) is
+// shard-clean. Fig13 runs the full {1,2,4} matrix; the hierarchical ablation
+// — whose only shard-relevant surface is its cfg.Shards wiring — is checked
+// at 4 shards alone.
 func TestReportDeterministicAcrossShards(t *testing.T) {
 	for _, tc := range []struct {
 		fig    func(Options) Table
@@ -27,8 +25,6 @@ func TestReportDeterministicAcrossShards(t *testing.T) {
 		shards []int
 	}{
 		{Fig13, 256, []int{2, 4}},
-		{Fig6, 32, []int{4}},
-		{Fig10, 8, []int{4}},
 		{AblationHierarchical, 256, []int{4}},
 	} {
 		base := Options{Scale: tc.scale, Jobs: 2, CollectStats: true, CollectSpans: true, Shards: 1}

@@ -89,28 +89,11 @@ type Config struct {
 	OwnerSpan mem.Addr // words of address space owned per node (block partition)
 
 	// Topology selects the interconnect and combining placement (see
-	// topology.go). The zero value (TopoDefault) derives flat/hypercube
-	// from the two deprecated bools below, so existing configs keep their
-	// exact meaning.
+	// topology.go). The zero value (TopoDefault) is the flat crossbar
+	// without combining.
 	Topology Topology
 
-	// Combining enables the local-combining + sum-back optimization.
-	//
-	// Deprecated: set Topology.CombineCache (or use FlatCombining /
-	// Hypercube). Kept as a shim; mixing it with an explicit Topology.Kind
-	// panics.
-	Combining bool
-	// Hierarchical arranges the nodes in a logical hypercube so sum-backs
-	// combine across nodes in logarithmic instead of linear complexity —
-	// the optimization the paper proposes as future work (§5). Each
-	// evicted partial line travels one hypercube dimension toward its
-	// owner per flush round, merging with other nodes' partials at every
-	// hop. Requires Combining and a power-of-two node count.
-	//
-	// Deprecated: set Topology to Hypercube(). Kept as a shim; mixing it
-	// with an explicit Topology.Kind panics.
-	Hierarchical bool
-	IssueRate    int // trace references issued per node per cycle
+	IssueRate int // trace references issued per node per cycle
 
 	// LegacyStepping forces per-cycle stepping, disabling the quiescence
 	// fast-forward over dead cycles (kept for differential testing).
@@ -251,7 +234,7 @@ func newLinkMetrics(maxRetries int) linkMetrics {
 // System is the multi-node machine.
 type System struct {
 	cfg   Config
-	topo  Topology // normalized Topology (cfg.Topology resolved against the shims)
+	topo  Topology // normalized cfg.Topology
 	kind  mem.Kind
 	nodes []*node
 	xbar  network.Fabric[frame]
@@ -294,15 +277,7 @@ func New(cfg Config, kind mem.Kind) *System {
 	if !kind.IsScatterAdd() || kind.IsFetch() {
 		panic(fmt.Sprintf("multinode: unsupported trace kind %v", kind))
 	}
-	if cfg.Hierarchical && !cfg.Combining {
-		panic("multinode: Hierarchical requires Combining")
-	}
 	topo := cfg.Topology.normalized(cfg)
-	// Mirror the normalized topology back onto the legacy bools: the
-	// combining and hypercube machinery below keys off them, and this keeps
-	// either configuration surface driving identical behaviour.
-	cfg.Combining = topo.CombineCache
-	cfg.Hierarchical = topo.Kind == TopoHypercube
 	s := &System{cfg: cfg, topo: topo, kind: kind, reg: stats.NewRegistry(), ff: !cfg.LegacyStepping, routingNode: -1}
 	if topo.multiHop() {
 		mh := network.NewMultiHop[frame](network.MultiHopConfig{
@@ -360,7 +335,7 @@ func New(cfg Config, kind mem.Kind) *System {
 			}
 			s.reg.Adopt(fmt.Sprintf("cache[%d.%d]", id, b), bank.StatsGroup())
 			s.reg.Adopt(fmt.Sprintf("saunit[%d.%d]", id, b), n.sas[b].StatsGroup())
-			if cfg.Combining {
+			if topo.CombineCache {
 				cb := cache.NewBank(cfg.Cache, b, nil, cache.CombineLocal)
 				cb.SetZeroKind(kind)
 				if injecting {
@@ -480,13 +455,13 @@ func (s *System) RunTrace(refs []Ref) Result {
 	}
 	// Local phase: replay the trace.
 	runPhase()
-	if s.cfg.Combining {
+	if s.topo.CombineCache {
 		// Global phase: flush-with-sum-back. Direct combining needs one
 		// round (evictions go straight to the owner); hierarchical
 		// combining needs one round per hypercube dimension, each moving
 		// partial lines one hop closer to their owners while merging them.
 		rounds := 1
-		if s.cfg.Hierarchical {
+		if s.topo.Kind == TopoHypercube {
 			rounds = log2(s.cfg.Nodes)
 		}
 		for r := 0; r < rounds; r++ {
@@ -821,7 +796,7 @@ func (s *System) stepNodeExchange(n *node) {
 			// Remote request reached its owner: back in a bank queue.
 			n.str.OpStage(r.Node, r.ID, span.StageBankQ, s.now)
 		} else {
-			if !s.cfg.Hierarchical {
+			if s.topo.Kind != TopoHypercube {
 				panic(fmt.Sprintf("multinode: node %d received request for node %d without hierarchy",
 					n.id, s.owner(r.Addr)))
 			}
@@ -853,7 +828,7 @@ func (s *System) stepNodeExchange(n *node) {
 				// Merged into another in-flight request at the injection
 				// switch: the op's whole life is this cycle.
 				n.str.OpEnd(n.id, req.ID, s.now)
-			} else if !s.cfg.Combining && s.owner(req.Addr) != n.id {
+			} else if !s.topo.CombineCache && s.owner(req.Addr) != n.id {
 				// Direct mode: the request is already on the wire.
 				n.str.OpStage(n.id, req.ID, span.StageNet, s.now)
 			}
@@ -959,7 +934,7 @@ func (s *System) routeRequest(n *node, req mem.Request) bool {
 		u := n.localUnit(req.Addr)
 		return u.CanAccept(s.now) && u.Accept(s.now, req)
 	}
-	if s.cfg.Combining && !n.degraded {
+	if s.topo.CombineCache && !n.degraded {
 		// Local phase: combine into the node's own cache.
 		s.settle(n)
 		cb := n.combBank(req.Addr)
@@ -1129,7 +1104,7 @@ func (s *System) queueSumBack(n *node, ev cache.EvictedLine) {
 // (flip the lowest differing address bit), merging partials along the way.
 func (s *System) sumBackDst(from int, addr mem.Addr) int {
 	own := s.owner(addr)
-	if !s.cfg.Hierarchical || own == from {
+	if s.topo.Kind != TopoHypercube || own == from {
 		return own
 	}
 	diff := from ^ own

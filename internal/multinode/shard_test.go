@@ -57,7 +57,7 @@ func shardConfigs() map[string]Config {
 			comb := smallConfig(4, 2, rng/4, true)
 			comb.LegacyStepping = legacy
 			hier := smallConfig(4, 2, rng/4, true)
-			hier.Hierarchical = true
+			hier.Topology = Hypercube()
 			hier.LegacyStepping = legacy
 			if faults {
 				direct.Faults = fault.DefaultChaos()

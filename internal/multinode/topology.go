@@ -1,9 +1,6 @@
-// Topology is the first-class interconnect surface that replaced the ad-hoc
-// Combining/Hierarchical bool pair: one value names the switch graph the
-// nodes sit on and where scatter-add combining happens (in the sending
-// node's cache, inside every switch, both, or nowhere). The deprecated bools
-// still work — TopoDefault maps them onto the equivalent Topology — but
-// mixing the two surfaces is a configuration error.
+// Topology is the interconnect surface: one value names the switch graph
+// the nodes sit on and where scatter-add combining happens (in the sending
+// node's cache, inside every switch, both, or nowhere).
 package multinode
 
 import (
@@ -16,16 +13,17 @@ import (
 type TopologyKind int
 
 const (
-	// TopoDefault derives the kind from the deprecated Config.Combining and
-	// Config.Hierarchical bools: hypercube when Hierarchical is set, flat
-	// otherwise. Zero-value configs keep their exact pre-Topology meaning.
+	// TopoDefault is the zero value: the flat crossbar without combining.
+	// It takes no other Topology options.
 	TopoDefault TopologyKind = iota
 	// TopoFlat is the paper's single full crossbar (§4.5).
 	TopoFlat
 	// TopoHypercube keeps the flat crossbar but routes sum-backs along
-	// logical hypercube dimensions, merging partial lines at every hop —
-	// the paper's §5 future-work optimization. Requires cache combining and
-	// a power-of-two node count.
+	// logical hypercube dimensions, merging partial lines at every hop, so
+	// sum-backs combine across nodes in logarithmic instead of linear
+	// complexity — the paper's §5 future-work optimization. Each evicted
+	// partial line travels one hypercube dimension toward its owner per
+	// flush round. Requires cache combining and a power-of-two node count.
 	TopoHypercube
 	// TopoTree is a multi-hop fat-tree of small crossbar switches with
 	// configurable fan-in.
@@ -62,7 +60,7 @@ type Topology struct {
 
 	// CombineCache enables the paper's local-combining + sum-back mode:
 	// remote references merge into the sending node's own cache and evicted
-	// partial lines sum back to their owners (the old Combining bool).
+	// partial lines sum back to their owners.
 	CombineCache bool
 	// CombineSwitch enables Ultracomputer-style combining inside every
 	// switch of a multi-hop topology: same-address scatter-add packets that
@@ -75,7 +73,7 @@ type Topology struct {
 func Flat() Topology { return Topology{Kind: TopoFlat} }
 
 // FlatCombining returns the flat crossbar with the paper's cache-combining
-// mode (the old Combining bool).
+// mode.
 func FlatCombining() Topology { return Topology{Kind: TopoFlat, CombineCache: true} }
 
 // Hypercube returns the hypercube sum-back topology (cache combining
@@ -129,8 +127,8 @@ func (t Topology) graphKind() network.GraphKind {
 	return network.TreeGraph
 }
 
-// normalized resolves TopoDefault against the deprecated bools, applies
-// defaults, and validates the combination. It panics on conflicts —
+// normalized resolves TopoDefault to the flat crossbar, applies defaults,
+// and validates the combination. It panics on conflicts —
 // topology selection is construction-time configuration, like the rest of
 // Config.
 func (t Topology) normalized(cfg Config) Topology {
@@ -139,12 +137,6 @@ func (t Topology) normalized(cfg Config) Topology {
 			panic("multinode: Topology options require an explicit Topology.Kind")
 		}
 		t.Kind = TopoFlat
-		if cfg.Hierarchical {
-			t.Kind = TopoHypercube
-		}
-		t.CombineCache = cfg.Combining
-	} else if cfg.Combining || cfg.Hierarchical {
-		panic("multinode: set Config.Topology or the deprecated Combining/Hierarchical bools, not both")
 	}
 	switch t.Kind {
 	case TopoFlat, TopoHypercube:

@@ -48,9 +48,9 @@ type Spec struct {
 	Scale int `json:"scale,omitempty"`
 	// Seed perturbs every workload seed (0 = the paper's fixed seeds).
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards partitions each simulation's compute across workers — per-node
-	// engines for multi-node figures, bank clusters for single-machine ones
-	// (0 or 1 = sequential; the server never auto-picks). Output is
+	// Shards partitions each multi-node simulation's per-node engines
+	// across workers; single-machine figures always run sequentially (0 or
+	// 1 = sequential; the server never auto-picks). Output is
 	// byte-identical for every value, so shards do not participate in the
 	// result-cache key.
 	Shards int `json:"shards,omitempty"`

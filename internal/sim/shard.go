@@ -2,10 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
 // ShardPool is the intra-simulation shard scheduler: a fixed set of
@@ -35,18 +33,6 @@ type ShardPool struct {
 
 	mu     sync.Mutex
 	panics []shardPanic // captured phase panics, re-raised by Run
-
-	// Spin-barrier mode (NewSpinShardPool). The caller publishes each phase
-	// by bumping epoch; workers busy-poll it between phases — parking on
-	// their wake channel when the caller goes quiet — and report completion
-	// through done. The caller itself executes shard 0.
-	spin    bool
-	fn      func(int)       // current phase function, written before epoch
-	epoch   atomic.Uint64   // phase sequence number
-	done    atomic.Int64    // workers finished with the current phase
-	stopped atomic.Bool     // Close requested
-	wake    []chan struct{} // per-worker 1-buffered unpark tokens
-	parked  []atomic.Bool   // worker w is (about to be) blocked on wake[w]
 }
 
 // shardPanic is one captured phase panic, tagged with its shard so Run can
@@ -80,83 +66,6 @@ func NewShardPool(n int) *ShardPool {
 	return p
 }
 
-// NewSpinShardPool returns a pool of n shards whose barrier busy-waits
-// instead of handing work through channels. Channel handoff costs on the
-// order of a microsecond per Run — fine for the multinode step, whose phases
-// run whole per-node engines, but it would swamp a single-machine cycle
-// (a few microseconds total). In spin mode the calling goroutine executes
-// shard 0 itself and workers 1..n-1 poll an epoch counter, so a phase
-// dispatch is one atomic increment.
-//
-// Workers do not spin forever: after a bounded number of yielding polls with
-// no new phase (a fast-forward jump, the caller off in sequential code, an
-// idle pool) they park on a channel and cost nothing until the next Run.
-// Semantics are otherwise identical to NewShardPool: Run is a barrier,
-// panics re-raise lowest-shard-first, Close releases the workers.
-func NewSpinShardPool(n int) *ShardPool {
-	if n < 1 {
-		n = 1
-	}
-	p := &ShardPool{n: n, spin: true}
-	if n == 1 {
-		return p
-	}
-	p.wake = make([]chan struct{}, n)
-	p.parked = make([]atomic.Bool, n)
-	p.workers.Add(n - 1)
-	for w := 1; w < n; w++ {
-		p.wake[w] = make(chan struct{}, 1)
-		go p.spinWorker(w)
-	}
-	return p
-}
-
-// spinPolls bounds how many yielding polls a spin worker makes before
-// parking: enough to cover the caller's sequential phases between
-// consecutive cycles (sub-microsecond), few enough that an idle pool stops
-// burning its core within tens of microseconds.
-const spinPolls = 256
-
-func (p *ShardPool) spinWorker(w int) {
-	defer p.workers.Done()
-	seen := uint64(0)
-	for {
-		e := p.epoch.Load()
-		if p.stopped.Load() {
-			return
-		}
-		if e == seen {
-			p.spinIdle(w, seen)
-			continue
-		}
-		seen = e
-		p.runShard(p.fn, w)
-		p.done.Add(1)
-	}
-}
-
-// spinIdle polls for the next epoch, yielding between polls, then parks on
-// the worker's wake channel when the caller stays quiet. The park protocol
-// (set parked, re-check epoch/stopped, block) closes the race with a caller
-// that bumps the epoch between our last poll and the channel receive; a
-// stale wake token left over from that race costs one spurious loop
-// iteration, never a lost phase.
-func (p *ShardPool) spinIdle(w int, seen uint64) {
-	for i := 0; i < spinPolls; i++ {
-		if p.epoch.Load() != seen || p.stopped.Load() {
-			return
-		}
-		runtime.Gosched()
-	}
-	p.parked[w].Store(true)
-	if p.epoch.Load() != seen || p.stopped.Load() {
-		p.parked[w].Store(false)
-		return
-	}
-	<-p.wake[w]
-	p.parked[w].Store(false)
-}
-
 // runShard runs one shard's phase call, capturing a panic for later re-raise.
 func (p *ShardPool) runShard(fn func(int), s int) {
 	defer func() {
@@ -167,28 +76,6 @@ func (p *ShardPool) runShard(fn func(int), s int) {
 		}
 	}()
 	fn(s)
-}
-
-// runSpin is Run for spin-mode pools: publish the phase, unpark sleepers,
-// execute shard 0 on the calling goroutine, then spin until the workers
-// report in.
-func (p *ShardPool) runSpin(fn func(int)) {
-	p.fn = fn
-	p.done.Store(0)
-	p.epoch.Add(1)
-	for w := 1; w < p.n; w++ {
-		if p.parked[w].Load() {
-			select {
-			case p.wake[w] <- struct{}{}:
-			default:
-			}
-		}
-	}
-	p.runShard(fn, 0)
-	for p.done.Load() < int64(p.n-1) {
-		runtime.Gosched()
-	}
-	p.raise()
 }
 
 // raise re-raises the lowest-shard captured panic, if any. Callers reach it
@@ -223,10 +110,6 @@ func (p *ShardPool) Run(fn func(shard int)) {
 	if p.closed {
 		panic("sim: ShardPool.Run after Close")
 	}
-	if p.spin {
-		p.runSpin(fn)
-		return
-	}
 	p.wg.Add(p.n)
 	for s := 0; s < p.n; s++ {
 		s := s
@@ -247,17 +130,6 @@ func (p *ShardPool) Close() {
 		return
 	}
 	p.closed = true
-	if p.spin {
-		p.stopped.Store(true)
-		for w := 1; w < p.n; w++ {
-			select {
-			case p.wake[w] <- struct{}{}:
-			default:
-			}
-		}
-		p.workers.Wait()
-		return
-	}
 	close(p.work)
 	p.workers.Wait()
 }

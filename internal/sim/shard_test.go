@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestShardPoolRunsEveryShard(t *testing.T) {
@@ -136,137 +135,6 @@ func TestShardPoolInlinePanicPassesThrough(t *testing.T) {
 func TestShardPoolRunAfterClosePanics(t *testing.T) {
 	p := NewShardPool(2)
 	p.Close()
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		p.Run(func(int) {})
-	}()
-	if recovered == nil {
-		t.Fatal("Run after Close did not panic")
-	}
-}
-
-func TestSpinShardPoolRunsEveryShard(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 8} {
-		p := NewSpinShardPool(n)
-		if p.Shards() != n {
-			t.Fatalf("Shards() = %d, want %d", p.Shards(), n)
-		}
-		hits := make([]int32, n)
-		for round := 0; round < 50; round++ {
-			p.Run(func(s int) { atomic.AddInt32(&hits[s], 1) })
-		}
-		p.Close()
-		for s, h := range hits {
-			if h != 50 {
-				t.Fatalf("n=%d shard %d ran %d times, want 50", n, s, h)
-			}
-		}
-	}
-}
-
-func TestSpinShardPoolClampsWidth(t *testing.T) {
-	for _, n := range []int{-3, 0} {
-		p := NewSpinShardPool(n)
-		if p.Shards() != 1 {
-			t.Fatalf("NewSpinShardPool(%d).Shards() = %d, want 1", n, p.Shards())
-		}
-		p.Close()
-	}
-}
-
-func TestSpinShardPoolRunIsABarrier(t *testing.T) {
-	p := NewSpinShardPool(4)
-	defer p.Close()
-	var phase atomic.Int32
-	for round := int32(1); round <= 20; round++ {
-		p.Run(func(s int) {
-			if got := phase.Load(); got != round-1 {
-				t.Errorf("round %d shard %d saw phase %d", round, s, got)
-			}
-		})
-		phase.Store(round)
-	}
-}
-
-func TestSpinShardPoolShardZeroOnCaller(t *testing.T) {
-	// Spin mode exists so the phase dispatch is one atomic bump; shard 0 must
-	// run inline on the calling goroutine, which a goroutine-local marker can
-	// observe without any synchronization.
-	p := NewSpinShardPool(4)
-	defer p.Close()
-	marker := 0
-	p.Run(func(s int) {
-		if s == 0 {
-			marker = 1 // inline on this goroutine, no race
-		}
-	})
-	if marker != 1 {
-		t.Fatal("shard 0 did not run on the calling goroutine")
-	}
-}
-
-func TestSpinShardPoolParksAndResumes(t *testing.T) {
-	// Let the workers exhaust their spin budget and park, then verify the
-	// next Run still executes every shard (the unpark path).
-	p := NewSpinShardPool(4)
-	defer p.Close()
-	for round := 0; round < 5; round++ {
-		var ran atomic.Int32
-		p.Run(func(int) { ran.Add(1) })
-		if ran.Load() != 4 {
-			t.Fatalf("round %d ran %d shards, want 4", round, ran.Load())
-		}
-		time.Sleep(2 * time.Millisecond) // far beyond the spin budget
-	}
-}
-
-func TestSpinShardPoolPanicLowestShardWins(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		p := NewSpinShardPool(4)
-		var recovered any
-		func() {
-			defer func() { recovered = recover() }()
-			p.Run(func(s int) {
-				panic(fmt.Sprintf("boom-%d", s))
-			})
-		}()
-		p.Close()
-		msg, ok := recovered.(string)
-		if !ok {
-			t.Fatalf("recovered %T, want string", recovered)
-		}
-		if !strings.Contains(msg, "shard 0: boom-0") {
-			t.Fatalf("panic = %q, want lowest shard (0)", msg)
-		}
-		if !strings.Contains(msg, "shard stack:") {
-			t.Fatalf("panic %q carries no captured stack", msg)
-		}
-	}
-}
-
-func TestSpinShardPoolPanicDoesNotPoisonPool(t *testing.T) {
-	p := NewSpinShardPool(2)
-	defer p.Close()
-	func() {
-		defer func() { recover() }()
-		p.Run(func(s int) {
-			if s == 1 {
-				panic("transient")
-			}
-		})
-	}()
-	var ran atomic.Int32
-	p.Run(func(int) { ran.Add(1) })
-	if ran.Load() != 2 {
-		t.Fatalf("post-panic Run executed %d shards, want 2", ran.Load())
-	}
-}
-
-func TestSpinShardPoolRunAfterClosePanics(t *testing.T) {
-	p := NewSpinShardPool(2)
-	p.Close()
-	p.Close() // idempotent
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()

@@ -84,61 +84,6 @@ func TestAbsorbMergesAndEmptiesSource(t *testing.T) {
 	}
 }
 
-func TestAbsorbCompletedLeavesLiveOpsInPlace(t *testing.T) {
-	master := New(1)
-	shard := New(1)
-	shard.OpBegin(0, 2, mem.Read, 0x20, 2)
-	shard.OpEnd(0, 2, 9)
-	shard.SpanAsync("s", "b", 2, 4)
-	shard.OpBegin(0, 3, mem.AddF64, 0x30, 4) // in flight across the absorb
-	master.AbsorbCompleted(shard)
-	if got := len(master.Ops()); got != 1 {
-		t.Fatalf("master has %d ops, want 1", got)
-	}
-	if got := len(master.Events()); got != 1 {
-		t.Fatalf("master has %d events, want 1", got)
-	}
-	if len(shard.Ops()) != 0 || len(shard.Events()) != 0 {
-		t.Fatal("completed state left in the source tracer")
-	}
-	// The in-flight op must still be live on the shard tracer — that is the
-	// point of AbsorbCompleted: the shard's components keep reporting its
-	// stage transitions there, and a later absorb picks it up once ended.
-	if shard.Live() != 1 || !shard.Sampled(0, 3) {
-		t.Fatal("live op was moved off the shard tracer")
-	}
-	shard.OpStage(0, 3, StageFU, 6)
-	shard.OpEnd(0, 3, 12)
-	master.AbsorbCompleted(shard)
-	ops := master.Ops()
-	if len(ops) != 2 || shard.Live() != 0 {
-		t.Fatalf("second absorb: master=%d ops, shard live=%d", len(ops), shard.Live())
-	}
-	last := ops[1]
-	if last.Start != 4 || last.End != 12 || len(last.Trans) != 2 {
-		t.Fatalf("lifecycle completed across absorbs corrupted: %+v", last)
-	}
-}
-
-func TestAbsorbCompletedNoopCases(t *testing.T) {
-	a := New(1)
-	a.OpBegin(0, 1, mem.AddF64, 0, 0)
-	a.OpEnd(0, 1, 1)
-	a.AbsorbCompleted(a) // self-absorb must not duplicate
-	if len(a.Ops()) != 1 {
-		t.Fatalf("self-absorb duplicated ops: %d", len(a.Ops()))
-	}
-	var nilT *Tracer
-	nilT.AbsorbCompleted(a)
-	if len(a.Ops()) != 1 {
-		t.Fatal("absorb into nil receiver drained the source")
-	}
-	a.AbsorbCompleted(nil)
-	if len(a.Ops()) != 1 {
-		t.Fatal("nil-source absorb changed state")
-	}
-}
-
 func TestAbsorbNoopCases(t *testing.T) {
 	a := New(1)
 	a.OpBegin(0, 1, mem.AddF64, 0, 0)

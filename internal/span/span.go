@@ -318,23 +318,6 @@ func (t *Tracer) Absorb(src *Tracer) {
 	src.events = src.events[:0]
 }
 
-// AbsorbCompleted moves src's completed ops and component events into t but
-// leaves src's live lifecycles in place. The sharded single-machine engine
-// folds its shard tracers into the master at every op boundary, where
-// asynchronous streams may still have sampled ops in flight; those must keep
-// accumulating stage transitions on the shard tracer that the shard's
-// components write to (Absorb would strand them: a moved live op no longer
-// receives OpStage/OpEnd calls made against src).
-func (t *Tracer) AbsorbCompleted(src *Tracer) {
-	if t == nil || src == nil || t == src {
-		return
-	}
-	t.ops = append(t.ops, src.ops...)
-	t.events = append(t.events, src.events...)
-	src.ops = src.ops[:0]
-	src.events = src.events[:0]
-}
-
 // Reset discards all recorded ops, events, and live lifecycles but keeps
 // the sampling rate and counter phase.
 func (t *Tracer) Reset() {
